@@ -36,16 +36,13 @@ def main(argv: list[str] | None = None) -> int:
     from repro.sim._native import build
 
     directory = Path(args.cache_dir) if args.cache_dir else build.cache_dir()
-    if args.force:
-        import zlib
-
-        crc = zlib.crc32(build.kernel_source_path().read_bytes()) & 0xFFFFFFFF
-        stale = directory / f"kernel-{crc:08x}.so"
-        stale.unlink(missing_ok=True)
+    cc = build.compiler()
+    if args.force and cc is not None:
+        source = build.kernel_source_path().read_bytes()
+        build.object_path(source, cc, directory).unlink(missing_ok=True)
 
     so = build.build(directory=directory)
     if so is None:
-        cc = build.compiler()
         if cc is None:
             print("error: no C compiler on PATH (set $CC or install cc)", file=sys.stderr)
         else:

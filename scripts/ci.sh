@@ -35,6 +35,10 @@
 # summary line prints its wall time; warm reruns hit
 # scripts/lint_cache.json and re-parse nothing.
 #
+# The benchmark's own self-tests (sessionbench/tests: inputs, tracer
+# install/remove, output check) run after the unit suite; they carry no
+# `quick` marker and live outside tests/, so no earlier step covers them.
+#
 # The final step re-runs the API/workloads-facing suites under the
 # stdlib coverage tracer (scripts/coverage.py) and fails the build if
 # line coverage of src/repro/api or src/repro/workloads drops below the
@@ -55,5 +59,6 @@ python -m pytest tests/test_store_concurrency.py -q
 python -m repro.analysis src/repro benchmarks scripts tests
 python -m pytest -m quick -q --ignore=benchmarks/test_sweep_smoke.py --ignore=benchmarks/test_resume_smoke.py --ignore=tests/test_store_concurrency.py
 python -m pytest tests -q -m "not quick"
+python -m pytest sessionbench/tests -q
 python -m pytest benchmarks/test_perf_throughput.py -q -m "not quick"
 python scripts/coverage.py

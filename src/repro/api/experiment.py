@@ -207,14 +207,19 @@ class Cell:
         one prefix are validated at adoption time against the consumed
         records' CRC and the resuming run's drain history
         (:class:`repro.sim.engine.EngineState`), which is what makes the
-        shared namespace safe.
+        shared namespace safe.  The snapshot format version is folded in,
+        so snapshots in an older payload format are orphaned by key
+        rather than handed to a decoder that cannot read them.
         """
+        from repro.sim.engine import EngineState
+
         return fingerprint(
             {
                 "kind": "cell-prefix",
                 "trace": self.trace,
                 **self._prefetcher_payloads(),
                 "system": canonical(self.system.config),
+                "checkpoint_format": EngineState.SCHEMA_VERSION,
             }
         )
 

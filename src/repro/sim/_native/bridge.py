@@ -2,10 +2,12 @@
 
 The native backend is stateless per span: :func:`replay_span` copies the
 entire simulation state (caches, MSHR, DRAM, core, and — when training —
-the full Pythia agent) into flat NumPy buffers, hands them to
+the full Pythia agent) into flat buffers, hands them to
 ``repro_replay_span`` in ``kernel.c``, and copies the result back into
-the Python objects.  The C kernel executes the exact operation sequence
-of :func:`repro.sim.batch.replay_span`, so the round trip is
+the Python objects.  Caches travel in their checkpoint column layout
+(:meth:`repro.sim.cache.Cache.columns` / ``load_columns``), the rest in
+NumPy buffers built here.  The C kernel executes the exact operation
+sequence of :func:`repro.sim.batch.replay_span`, so the round trip is
 bit-identical: a span replayed natively leaves every counter, cache
 line, Q-value, and RNG word exactly where the batched (or scalar)
 backend would have left it, and checkpoints taken on either side of a
@@ -34,8 +36,9 @@ from repro.core.qvstore import NumpyQVStore
 from repro.prefetchers.base import NoPrefetcher
 from repro.sim import batch
 from repro.sim._native import build
+from repro.sim.cache import CacheColumns
 from repro.sim.mshr import MshrEntry
-from repro.sim.replacement import LruPolicy, ShipMeta, ShipPolicy
+from repro.sim.replacement import LruPolicy, ShipPolicy
 from repro.types import LINES_PER_PAGE, PAGE_SHIFT_LINES
 
 #: Spans shorter than this are delegated to the batched backend: the
@@ -47,7 +50,6 @@ _I64 = ctypes.c_int64
 _DBL = ctypes.c_double
 _PTR = ctypes.c_void_p
 
-_SHIP_SHCT_SIZE = 1024
 _PT_HIST = 4  # _PageHistory deque maxlen
 _LAST_PCS = 3  # FeatureExtractor._last_pcs maxlen
 
@@ -210,139 +212,33 @@ def _pow2_at_least(n: int) -> int:
     return size
 
 
-_POLICY_FLAGS = {LruPolicy: 0, ShipPolicy: 1}
+def _addr(column) -> int | None:
+    """Address of a :class:`array.array` column's buffer (``None`` if absent)."""
+    return None if column is None else column.buffer_info()[0]
 
 
-def _import_cache(a, keep, idx, cache):
-    """Copy one cache level into flat arrays and point the struct at them."""
-    nsets, ways = cache.num_sets, cache.ways
-    n = nsets * ways
-    policy = _POLICY_FLAGS[type(cache._policy)]
-    tag = _np.empty(n, _np.int64)
-    flags = _np.zeros(n, _np.uint8)
-    fillc = _np.empty(n, _np.int64)
-    meta_a = _np.zeros(n, _np.int64)
-    meta_b = _np.zeros(n, _np.int64)
-    meta_c = _np.zeros(n, _np.uint8)
-    i = 0
-    for s in range(nsets):
-        line_set = cache._sets[s]
-        meta_set = cache._meta[s]
-        for w in range(ways):
-            entry = line_set[w]
-            tag[i] = entry.tag
-            flags[i] = (
-                (1 if entry.valid else 0)
-                | (2 if entry.prefetched else 0)
-                | (4 if entry.used else 0)
-            )
-            fillc[i] = entry.fill_cycle
-            meta = meta_set[w]
-            if policy == 0:
-                meta_a[i] = meta
-            else:
-                meta_a[i] = meta.rrpv
-                meta_b[i] = meta.sig
-                meta_c[i] = 1 if meta.reused else 0
-            i += 1
-    stats_obj = cache.stats
-    stats = _np.array(
-        [
-            stats_obj.demand_accesses,
-            stats_obj.demand_hits,
-            stats_obj.demand_misses,
-            stats_obj.load_misses,
-            stats_obj.prefetch_accesses,
-            stats_obj.prefetch_hits,
-            stats_obj.prefetch_misses,
-            stats_obj.fills,
-            stats_obj.prefetch_fills,
-            stats_obj.useful_prefetches,
-            stats_obj.useless_evictions,
-            stats_obj.evictions,
-        ],
-        _np.int64,
-    )
-    if policy == 1:
-        shct = _np.array(cache._policy._shct, _np.int64)
-    else:
-        shct = _np.zeros(_SHIP_SHCT_SIZE, _np.int64)
-    keep += [tag, flags, fillc, meta_a, meta_b, meta_c, stats, shct]
-    a.cache_tag[idx] = tag.ctypes.data
-    a.cache_flags[idx] = flags.ctypes.data
-    a.cache_fill_cycle[idx] = fillc.ctypes.data
-    a.cache_meta_a[idx] = meta_a.ctypes.data
-    a.cache_meta_b[idx] = meta_b.ctypes.data
-    a.cache_meta_c[idx] = meta_c.ctypes.data
-    a.cache_stats[idx] = stats.ctypes.data
-    a.cache_shct[idx] = shct.ctypes.data
-    a.nsets[idx] = nsets
-    a.ways[idx] = ways
+def _import_cache(a, idx, cache) -> CacheColumns:
+    """Point the struct at one cache level's columns (the checkpoint layout).
+
+    The kernel updates the returned arrays in place; under LRU the SHiP
+    columns stay NULL (the kernel never reads them).
+    """
+    cols = cache.columns()
+    meta = cols.meta + (None,) * (3 - len(cols.meta))
+    a.cache_tag[idx] = _addr(cols.tag)
+    a.cache_flags[idx] = _addr(cols.flags)
+    a.cache_fill_cycle[idx] = _addr(cols.fill_cycle)
+    a.cache_meta_a[idx] = _addr(meta[0])
+    a.cache_meta_b[idx] = _addr(meta[1])
+    a.cache_meta_c[idx] = _addr(meta[2])
+    a.cache_stats[idx] = _addr(cols.stats)
+    a.cache_shct[idx] = _addr(cols.shct)
+    a.nsets[idx] = cache.num_sets
+    a.ways[idx] = cache.ways
     a.lat[idx] = cache.latency
     a.tick[idx] = cache._tick
-    a.policy[idx] = policy
-    return tag, flags, fillc, meta_a, meta_b, meta_c, stats, shct
-
-
-def _export_cache(a, idx, cache, bufs):
-    """Write one cache level's flat arrays back into the Python objects."""
-    tag, flags, fillc, meta_a, meta_b, meta_c, stats, shct = bufs
-    nsets, ways = cache.num_sets, cache.ways
-    policy = a.policy[idx]
-    tag_l = tag.tolist()
-    flags_l = flags.tolist()
-    fillc_l = fillc.tolist()
-    meta_a_l = meta_a.tolist()
-    meta_b_l = meta_b.tolist()
-    meta_c_l = meta_c.tolist()
-    i = 0
-    for s in range(nsets):
-        line_set = cache._sets[s]
-        meta_set = cache._meta[s]
-        tags_s: dict = {}
-        free_s: list = []
-        for w in range(ways):
-            entry = line_set[w]
-            fl = flags_l[i]
-            entry.tag = tag_l[i]
-            entry.valid = bool(fl & 1)
-            entry.prefetched = bool(fl & 2)
-            entry.used = bool(fl & 4)
-            entry.fill_cycle = fillc_l[i]
-            if policy == 0:
-                meta_set[w] = meta_a_l[i]
-            else:
-                meta_set[w] = ShipMeta(
-                    rrpv=meta_a_l[i], sig=meta_b_l[i], reused=bool(meta_c_l[i])
-                )
-            if fl & 1:
-                tags_s[entry.tag] = w
-            else:
-                # Ascending way order == a valid min-heap, and pops come
-                # out in the same order the scalar heap would produce.
-                free_s.append(w)
-            i += 1
-        cache._tags[s] = tags_s
-        cache._free[s] = free_s
-    stats_l = stats.tolist()
-    stats_obj = cache.stats
-    (
-        stats_obj.demand_accesses,
-        stats_obj.demand_hits,
-        stats_obj.demand_misses,
-        stats_obj.load_misses,
-        stats_obj.prefetch_accesses,
-        stats_obj.prefetch_hits,
-        stats_obj.prefetch_misses,
-        stats_obj.fills,
-        stats_obj.prefetch_fills,
-        stats_obj.useful_prefetches,
-        stats_obj.useless_evictions,
-        stats_obj.evictions,
-    ) = stats_l
-    cache._tick = a.tick[idx]
-    if policy == 1:
-        cache._policy._shct[:] = shct.tolist()
+    a.policy[idx] = cols.policy
+    return cols
 
 
 # -- the backend entry point ------------------------------------------------
@@ -383,10 +279,8 @@ def replay_span(hierarchy, core, cols, start, stop, stamp=None) -> None:
     a.col_offset = cols.offset.ctypes.data
 
     # -- caches -------------------------------------------------------------
-    cache_bufs = [
-        _import_cache(a, keep, idx, cache)
-        for idx, cache in enumerate((hierarchy.l1, hierarchy.l2, hierarchy.llc))
-    ]
+    caches = (hierarchy.l1, hierarchy.l2, hierarchy.llc)
+    cache_cols = [_import_cache(a, idx, cache) for idx, cache in enumerate(caches)]
 
     # -- MSHR ---------------------------------------------------------------
     mshr = hierarchy.mshr
@@ -708,8 +602,10 @@ def replay_span(hierarchy, core, cols, start, stop, stamp=None) -> None:
         a.ev_head = 0
 
     # -- export: caches -----------------------------------------------------
-    for idx, cache in enumerate((hierarchy.l1, hierarchy.l2, hierarchy.llc)):
-        _export_cache(a, idx, cache, cache_bufs[idx])
+    # In place, so held references to lines and stats stay live.
+    for idx, cache in enumerate(caches):
+        cache.load_columns(cache_cols[idx])
+        cache._tick = a.tick[idx]
 
     # -- export: MSHR / pending / inflight / merged -------------------------
     n = a.mshr_count

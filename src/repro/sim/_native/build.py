@@ -2,9 +2,11 @@
 
 ``kernel.c`` is a single translation unit with no dependencies beyond
 libc, so "the build system" is one ``cc`` invocation.  The shared
-object is cached keyed by a CRC of the C source: editing the kernel
-changes the CRC, which changes the cache file name, which forces a
-rebuild — no mtime comparisons, no stale binaries.  ``KERNEL_SOURCE_CRC``
+object is cached keyed by a CRC of the C source plus a CRC of how it is
+compiled (``CFLAGS`` and the compiler's identity: its resolved path and
+``--version`` line): editing the kernel, the flags, or switching
+``$CC`` changes the cache file name, which forces a rebuild — no mtime
+comparisons, no stale binaries.  ``KERNEL_SOURCE_CRC``
 pins the CRC of the *committed* source; the ``native`` lint rule
 recomputes it so a kernel edit that forgets the constant fails CI
 instead of silently shipping a stale binding.
@@ -68,6 +70,26 @@ def compiler() -> str | None:
     return shutil.which(os.environ.get("CC", "cc"))
 
 
+def _compiler_identity(cc: str) -> str:
+    """Resolved path plus first ``--version`` line of compiler *cc*."""
+    try:
+        proc = subprocess.run([cc, "--version"], capture_output=True, timeout=60)
+        version = proc.stdout.decode(errors="replace").partition("\n")[0]
+    except (OSError, subprocess.SubprocessError):
+        version = ""
+    return f"{os.path.realpath(cc)}\n{version}"
+
+
+def object_path(source: bytes, cc: str, directory: Path | None = None) -> Path:
+    """Cache file for *source* compiled by *cc* with :data:`CFLAGS`."""
+    recipe = "\0".join((*CFLAGS, _compiler_identity(cc))).encode()
+    out_dir = Path(directory) if directory is not None else cache_dir()
+    return out_dir / (
+        f"kernel-{zlib.crc32(source) & 0xFFFFFFFF:08x}"
+        f"-{zlib.crc32(recipe) & 0xFFFFFFFF:08x}.so"
+    )
+
+
 def was_rebuilt() -> bool:
     """Whether the most recent :func:`build` call actually compiled."""
     return _last_build_rebuilt
@@ -76,9 +98,11 @@ def was_rebuilt() -> bool:
 def build(source: Path | None = None, directory: Path | None = None) -> Path | None:
     """Ensure a compiled kernel exists; return its path or ``None``.
 
-    The output name embeds the source CRC, so a cache hit *is* the
-    up-to-date check.  Compilation goes through a temp file and an
-    atomic rename — concurrent builders race benignly.
+    The output name embeds the source and build-recipe CRCs
+    (:func:`object_path`), so a cache hit *is* the up-to-date check.
+    Without a compiler there is no recipe to check a cached object
+    against, so the result is ``None`` then.  Compilation goes through
+    a temp file and an atomic rename — concurrent builders race benignly.
     """
     global _last_build_rebuilt
     # Safe: process-local status flag for tooling output — a racing
@@ -89,16 +113,14 @@ def build(source: Path | None = None, directory: Path | None = None) -> Path | N
         text = src.read_bytes()
     except OSError:
         return None
-    crc = zlib.crc32(text) & 0xFFFFFFFF
-    out_dir = Path(directory) if directory is not None else cache_dir()
-    so = out_dir / f"kernel-{crc:08x}.so"
-    if so.exists():
-        return so
     cc = compiler()
     if cc is None:
         return None
+    so = object_path(text, cc, directory)
+    if so.exists():
+        return so
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        so.parent.mkdir(parents=True, exist_ok=True)
     except OSError:
         return None
     tmp = so.with_name(f".{so.name}.{os.getpid()}.tmp")

@@ -421,10 +421,16 @@ def _prefix_crc(records: Sequence[TraceRecord], stop: int, crc: int = 0, start: 
 class EngineState:
     """One serializable snapshot of a mid-run simulation.
 
-    ``payload`` is the pickled ``(hierarchy, core)`` pair — caches with
-    replacement metadata, MSHRs, DRAM state, and the prefetcher
-    (including the NumPy Q-store, whose pickling preserves the shared
-    table; see :meth:`repro.core.qvstore.NumpyQVStore.__getstate__`).
+    ``payload`` is the pickled ``(hierarchy, core)`` pair.  Each cache
+    level pickles as flat typed columns (tags, flags, fill cycles,
+    replacement metadata, stats, SHCT; see
+    :class:`repro.sim.cache.CacheColumns`), not as per-line objects;
+    MSHRs, DRAM state and the prefetcher pickle as objects (the NumPy
+    Q-store preserves its shared table; see
+    :meth:`repro.core.qvstore.NumpyQVStore.__getstate__`).  The payload
+    format is :attr:`SCHEMA_VERSION`, which checkpoint namespace keys
+    fold in (:meth:`repro.api.experiment.Cell.prefix_fingerprint`), so a
+    snapshot in an older format is never found, let alone mis-read.
     The remaining fields are the resume-compatibility envelope:
 
     * ``records`` — trace cursor: how many records the state consumed;
@@ -436,6 +442,10 @@ class EngineState:
     * ``mark`` — the warmup-boundary counter snapshot, present on every
       post-warmup state so an adopter can still compute measured deltas.
     """
+
+    #: Payload format: 1 pickled every cache line as an object, 2
+    #: pickles caches as columns.  Bump on any payload layout change.
+    SCHEMA_VERSION = 2
 
     trace_name: str
     records: int
@@ -531,9 +541,10 @@ class SimulationEngine:
         self.trace = trace
         self.config = config if config is not None else SystemConfig(num_cores=1)
         prefetcher = prefetcher if prefetcher is not None else NoPrefetcher()
-        self.hierarchy = CacheHierarchy(
-            self.config, prefetcher, l1_prefetcher=l1_prefetcher
-        )
+        # The hierarchy is built on first use (see ``hierarchy``): a run
+        # that adopts a checkpoint replaces it before ever touching it.
+        self._hierarchy: CacheHierarchy | None = None
+        self._prefetchers = (prefetcher, l1_prefetcher)
         self.core = CoreModel(self.config.core)
         self.total = len(trace)
         if warmup_records is not None:
@@ -557,15 +568,13 @@ class SimulationEngine:
         # prefetching; the fallback is semantically invisible (the two
         # backends are bit-identical), so no error — just the slow loop.
         # The native kernel narrows further (no compiler, unsupported
-        # policies/prefetchers) and falls back to batched the same way.
+        # policies/prefetchers) and falls back to batched the same way;
+        # whichever hierarchy ends up replaying is probed for that when
+        # it is built or adopted.
         self._use_batched = (
             backend != "scalar" and l1_prefetcher is None and batch.available()
         )
-        self._use_native = (
-            backend == "native"
-            and self._use_batched
-            and _native.usable(self.hierarchy)
-        )
+        self._use_native = backend == "native" and self._use_batched
         self._cols = None
         self._stamp = None
 
@@ -579,6 +588,21 @@ class SimulationEngine:
         self._window_base: dict | None = None
         if telemetry_window:
             self._window_base = self._telemetry_snapshot()
+
+    @property
+    def hierarchy(self) -> CacheHierarchy:
+        """The replayed cache hierarchy, built from the config on first use."""
+        if self._hierarchy is None:
+            self._build_hierarchy()
+        return self._hierarchy
+
+    def _build_hierarchy(self) -> None:
+        prefetcher, l1_prefetcher = self._prefetchers
+        self._hierarchy = CacheHierarchy(
+            self.config, prefetcher, l1_prefetcher=l1_prefetcher
+        )
+        if self._use_native and not _native.usable(self._hierarchy):
+            self._use_native = False
 
     # -- state capture / adoption -----------------------------------------
 
@@ -633,15 +657,15 @@ class SimulationEngine:
             state.drained_at or state.records > self.warmup_split
         ):
             raise ValueError("post-warmup state carries no warmup mark")
-        self.hierarchy, self.core = state.restore()
-        if self.hierarchy.l1_prefetcher is not None:
+        self._hierarchy, self.core = state.restore()
+        if self._hierarchy.l1_prefetcher is not None:
             # A restored hierarchy may carry an L1 prefetcher this engine
             # was not built with; the batched kernel does not train it.
             self._use_batched = False
             self._use_native = False
-        elif self._use_native and not _native.usable(self.hierarchy):
-            # The restored hierarchy, not the one __init__ probed, is
-            # what replays — re-check it against the kernel's limits.
+        elif self._use_native and not _native.usable(self._hierarchy):
+            # The restored hierarchy is what replays — check it against
+            # the kernel's limits.
             self._use_native = False
         self.position = state.records
         self.resumed_from = state.records
@@ -785,6 +809,7 @@ class SimulationEngine:
         checkpointing = self.checkpoints is not None
         controlled = self.progress is not None or self.cancel is not None
         hierarchy, core = self.hierarchy, self.core
+        # Read after ``hierarchy``: building it settles ``_use_native``.
         batched = self._use_batched
         native = self._use_native
         if batched and self._cols is None:
@@ -853,6 +878,12 @@ class SimulationEngine:
                 and not self.telemetry_window
             ):
                 self._try_resume()
+        if self._hierarchy is None:
+            # Built with the collector on: the build's allocations let it
+            # reclaim cyclic garbage of earlier runs in this process,
+            # which keeps the peak memory of back-to-back cells down.
+            self._build_hierarchy()
+        with _gc_paused():
             if self._mark is None:
                 self._replay_to(split)
                 if split > 0:

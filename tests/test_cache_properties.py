@@ -14,13 +14,24 @@ random (seeded, stdlib ``random``) operation sequences against
   (checked against an independent shadow model);
 * the tag→way index, the way array, and the free-way heap stay mutually
   consistent.
+
+The columnar checkpoint codec (``Cache.__getstate__``/``__setstate__``)
+gets a hypothesis property: a cache pickled at any point of a random
+operation sequence continues exactly like the original, and malformed
+columns are rejected rather than restored.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
+import pickle
 import random
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.cache import Cache
 from repro.sim.config import CacheGeometry
@@ -203,3 +214,96 @@ def test_ship_shct_counters_stay_bounded():
             policy.victim(meta)
         assert all(0 <= c <= ShipPolicy.SHCT_MAX for c in policy._shct)
         assert all(isinstance(m, ShipMeta) and m.rrpv >= 0 for m in meta)
+
+
+# -- columnar checkpoint codec ----------------------------------------------
+
+_OPS = st.tuples(
+    st.sampled_from(("lookup", "fill", "invalidate")),
+    st.integers(min_value=0, max_value=47),  # line
+    st.integers(min_value=0, max_value=(1 << 12) - 1),  # pc
+    st.booleans(),  # is_prefetch
+)
+
+
+def _apply(cache: Cache, op, step: int):
+    kind, line, pc, is_prefetch = op
+    if kind == "lookup":
+        return cache.lookup(line, pc, is_load=not is_prefetch, is_prefetch=is_prefetch)
+    if kind == "fill":
+        return cache.fill(line, pc, is_prefetch, cycle=step)
+    return cache.invalidate(line)
+
+
+def _pop_order(heap: list[int]) -> list[int]:
+    heap = list(heap)
+    return [heapq.heappop(heap) for _ in range(len(heap))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sets=st.integers(min_value=1, max_value=4),
+    ways=st.integers(min_value=1, max_value=4),
+    replacement=st.sampled_from(["lru", "ship"]),
+    ops=st.lists(_OPS, max_size=120),
+    cut=st.integers(min_value=0, max_value=120),
+)
+def test_pickled_cache_continues_identically(sets, ways, replacement, ops, cut):
+    cache = small_cache(replacement, sets=sets, ways=ways)
+    cut = min(cut, len(ops))
+    for step, op in enumerate(ops[:cut]):
+        _apply(cache, op, step)
+    restored = pickle.loads(pickle.dumps(cache, pickle.HIGHEST_PROTOCOL))
+    assert restored.columns() == cache.columns()
+    assert_structurally_consistent(restored)
+    # Same lookup outcomes and eviction records from here on.
+    for step, op in enumerate(ops[cut:], start=cut):
+        assert _apply(restored, op, step) == _apply(cache, op, step)
+    assert restored.stats == cache.stats
+    assert restored._tick == cache._tick
+    assert restored.columns() == cache.columns()
+    for set_idx in range(cache.num_sets):
+        assert restored._tags[set_idx] == cache._tags[set_idx]
+        assert _pop_order(restored._free[set_idx]) == _pop_order(cache._free[set_idx])
+
+
+def _warm(replacement: str) -> Cache:
+    cache = small_cache(replacement, sets=4, ways=4)
+    rng = random.Random(5)
+    for step in range(200):
+        cache.fill(rng.randrange(64), pc=rng.randrange(1 << 12),
+                   is_prefetch=rng.random() < 0.3, cycle=step)
+    return cache
+
+
+def _restore_with(cache: Cache, **changes) -> None:
+    state = cache.__getstate__()
+    state["columns"] = dataclasses.replace(state["columns"], **changes)
+    Cache.__new__(Cache).__setstate__(state)
+
+
+@pytest.mark.parametrize("replacement", ["lru", "ship"])
+def test_truncated_column_is_rejected(replacement):
+    cache = _warm(replacement)
+    cols = cache.columns()
+    with pytest.raises(ValueError, match="malformed"):
+        _restore_with(cache, tag=cols.tag[:-1])
+    with pytest.raises(ValueError, match="malformed"):
+        _restore_with(cache, meta=(cols.meta[0][:-1], *cols.meta[1:]))
+    with pytest.raises(ValueError, match="malformed"):
+        _restore_with(cache, stats=cols.stats[:-1])
+
+
+@pytest.mark.parametrize("replacement", ["lru", "ship"])
+def test_out_of_range_flag_is_rejected(replacement):
+    cache = _warm(replacement)
+    flags = array("B", cache.columns().flags)
+    flags[3] = 8
+    with pytest.raises(ValueError, match="flag byte"):
+        _restore_with(cache, flags=flags)
+
+
+def test_non_columnar_state_is_rejected():
+    # The pre-columnar pickle carried the instance __dict__ instead.
+    with pytest.raises(ValueError, match="columnar"):
+        Cache.__new__(Cache).__setstate__(dict(vars(_warm("lru"))))

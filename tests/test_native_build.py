@@ -8,7 +8,9 @@ Pins the build cache's contracts rather than simulation semantics
 * with no C compiler reachable, ``replay_backend="native"`` degrades
   transparently to the batched backend — the full ``Session`` path
   still runs and produces the batched result, with one logged notice;
-* a corrupt cached ``.so`` is discarded and rebuilt, not fatal.
+* a corrupt cached ``.so`` is discarded and rebuilt, not fatal;
+* the cache key also covers how the source is compiled, so switching
+  ``$CC`` never reuses an object another compiler built.
 
 Every test resets the package's latched build/load state on the way in
 and out so outcomes cannot leak between tests (or into other files).
@@ -71,6 +73,34 @@ def test_build_caches_by_source_crc(tmp_path):
     assert changed is not None and changed.exists()
     assert changed != first
     assert build.was_rebuilt()
+
+
+def test_build_cache_keys_on_compiler(tmp_path, monkeypatch):
+    cc = build.compiler()
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    src = tmp_path / "tiny.c"
+    out = tmp_path / "out"
+    src.write_bytes(TINY_KERNEL)
+    first = build.build(source=src, directory=out)
+    assert first is not None
+
+    # A wrapper around the same compiler is a different compiler
+    # identity (resolved path), so it must not reuse the cached object.
+    wrapper = tmp_path / "cc-wrapper"
+    wrapper.write_text(f'#!/bin/sh\nexec "{cc}" "$@"\n')
+    wrapper.chmod(0o755)
+    monkeypatch.setenv("CC", str(wrapper))
+    second = build.build(source=src, directory=out)
+    assert second is not None and second.exists()
+    assert second != first
+    assert build.was_rebuilt()
+    assert first.exists()
+
+    # Back on the original compiler, its object is still a cache hit.
+    monkeypatch.setenv("CC", cc)
+    assert build.build(source=src, directory=out) == first
+    assert not build.was_rebuilt()
 
 
 def test_corrupt_cached_object_is_rebuilt():
